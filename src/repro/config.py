@@ -918,10 +918,12 @@ class ServeConfig:
 
 
 #: Default latency-histogram bucket upper bounds, in seconds
-#: (1 ms .. 30 s, roughly x3 steps — spans a per-stage frame budget
-#: from real-time HD to a struggling debug run).
+#: (10 us .. 30 s, roughly x3 steps — spans sub-millisecond stages
+#: such as cleanup and tracking at 120x160 up to a struggling debug
+#: run).
 DEFAULT_LATENCY_BUCKETS_S = (
-    0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0,
+    1e-5, 3e-5, 1e-4, 3e-4, 0.001, 0.003, 0.01, 0.03, 0.1, 0.3,
+    1.0, 3.0, 10.0, 30.0,
 )
 
 

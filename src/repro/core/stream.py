@@ -136,7 +136,13 @@ class SurveillancePipeline:
         self.cleaner = cleaner or MaskCleaner(
             open_radius=0, close_radius=2, min_area=6
         )
-        self.tracker = CentroidTracker(tracker_params)
+        # The tracker reads the components the cleaner measured, so a
+        # step labels its mask once (see repro.post.morphology).
+        self.tracker = CentroidTracker(
+            tracker_params,
+            cleaner=self.cleaner if isinstance(self.cleaner, MaskCleaner)
+            else None,
+        )
         self.warmup_frames = warmup_frames
         self.on_error = on_error
         self.frame_index = -1

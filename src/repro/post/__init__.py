@@ -9,7 +9,12 @@ from .analytics import (
     region_counts,
     run_fused_stages,
 )
-from .morphology import MaskCleaner, clean_mask, connected_components
+from .morphology import (
+    MaskCleaner,
+    clean_mask,
+    connected_components,
+    label_and_measure,
+)
 from .shadows import ShadowParams, detect_shadows, suppress_shadows
 
 __all__ = [
@@ -19,6 +24,7 @@ __all__ = [
     "clean_mask",
     "connected_components",
     "integral_histogram",
+    "label_and_measure",
     "occupancy_heatmap",
     "record_fused_telemetry",
     "region_counts",

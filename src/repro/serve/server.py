@@ -788,7 +788,10 @@ class StreamServer:
             state.registry.counter("controller.model_fresh_starts").inc()
         new.frame_index = old.frame_index
         new._last_good_mask = old._last_good_mask
-        new.tracker = old.tracker  # track ids survive the swap
+        # Track ids survive the swap; the kept tracker reads the new
+        # cleaner's measurements from now on.
+        old.tracker.cleaner = new.tracker.cleaner
+        new.tracker = old.tracker
         state.pipeline = new
         # Fault restarts must rebuild at the *current* rung, not the
         # admission-time one.

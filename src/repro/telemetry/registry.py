@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from bisect import bisect_left
 from typing import Iterator
 
 from ..config import TelemetryConfig
@@ -85,7 +86,7 @@ class LatencyHistogram:
     Tracks count / sum / min / max exactly and a cumulative bucket
     count per upper bound; quantiles are estimated by linear
     interpolation inside the owning bucket, which is plenty for stage
-    latencies spanning the default millisecond-to-seconds range.
+    latencies spanning the default microsecond-to-seconds range.
     """
 
     __slots__ = ("_lock", "_bounds", "_buckets", "count", "total", "_min", "_max")
@@ -115,11 +116,8 @@ class LatencyHistogram:
             self.total += seconds
             self._min = min(self._min, seconds)
             self._max = max(self._max, seconds)
-            for i, bound in enumerate(self._bounds):
-                if seconds <= bound:
-                    self._buckets[i] += 1
-                    return
-            self._buckets[-1] += 1
+            # First bound >= seconds; len(bounds) is the +inf bucket.
+            self._buckets[bisect_left(self._bounds, seconds)] += 1
 
     @property
     def mean(self) -> float:

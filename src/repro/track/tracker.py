@@ -6,7 +6,11 @@ the per-frame blobs into object *tracks*. This module implements the
 classic greedy nearest-centroid tracker:
 
 * blobs come from :func:`repro.post.connected_components` (optionally
-  after :func:`repro.post.clean_mask`);
+  after :func:`repro.post.clean_mask`) or, for a tracker built with
+  ``cleaner=``, from the measurements that
+  :class:`~repro.post.MaskCleaner` took while cleaning the mask — one
+  label-and-measure pass (:func:`repro.post.label_and_measure`) then
+  serves both stages, as in :mod:`repro.core.stream`'s pipeline;
 * each existing track predicts its next position by constant velocity;
 * blob↔track pairs are matched greedily by distance under a gate;
 * unmatched blobs open new (tentative) tracks, which are *confirmed*
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError
-from ..post.morphology import Component, connected_components
+from ..post.morphology import Component, MaskCleaner, connected_components
 
 
 @dataclass(frozen=True)
@@ -92,10 +96,21 @@ class Track:
 
 
 class CentroidTracker:
-    """Greedy nearest-centroid multi-object tracker."""
+    """Greedy nearest-centroid multi-object tracker.
 
-    def __init__(self, params: TrackerParams | None = None) -> None:
+    ``cleaner`` is the :class:`~repro.post.MaskCleaner` whose outputs
+    this tracker is fed. :meth:`update` reuses the components that
+    cleaner measured when handed its last output (the same array
+    object, unmodified); any other mask is measured afresh.
+    """
+
+    def __init__(
+        self,
+        params: TrackerParams | None = None,
+        cleaner: MaskCleaner | None = None,
+    ) -> None:
         self.params = params or TrackerParams()
+        self.cleaner = cleaner
         self.tracks: list[Track] = []
         self._next_id = 1
         self.frame_index = -1
@@ -113,10 +128,13 @@ class CentroidTracker:
         self.frame_index = (
             self.frame_index + 1 if frame_index is None else frame_index
         )
-        blobs = [
-            c for c in connected_components(mask)
-            if c.area >= self.params.min_area
-        ]
+        components = (
+            None if self.cleaner is None
+            else self.cleaner.components_of(mask)
+        )
+        if components is None:
+            components = connected_components(mask)
+        blobs = [c for c in components if c.area >= self.params.min_area]
         self._associate(blobs)
         return self.active_tracks
 

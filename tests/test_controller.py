@@ -405,9 +405,18 @@ class TestControlledServer:
         """Across the D/A downshifts every frame still emits a mask of
         the right geometry, in order."""
         frames = scene_frames(seed=9, num_frames=48)
-        _, _, results, _ = plugged_run(self.controlled_serve(), frames)
+        pipelines = []
+        log, _, results, _ = plugged_run(
+            self.controlled_serve(), frames,
+            extra=lambda s: pipelines.append(s._streams["cam0"].pipeline),
+        )
         assert [r.frame_index for r in results] == list(range(48))
         assert all(r.mask.shape == SHAPE for r in results)
+        # The tracker kept across the swaps reads the measurements of
+        # the cleaner now in front of it.
+        assert log
+        (pipe,) = pipelines
+        assert pipe.tracker.cleaner is pipe.cleaner
 
     def test_model_switch_preserves_continuity(self):
         """Descending to the model rung is a cross-family swap: fresh

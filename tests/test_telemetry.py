@@ -44,6 +44,29 @@ class TestInstruments:
         assert d["min_s"] <= d["p50_s"] <= d["p95_s"] <= d["max_s"]
         assert sum(d["buckets"].values()) == 5
 
+    def test_default_buckets_resolve_sub_millisecond_stages(self):
+        """Cleanup and tracking take about 0.2 ms a frame at 120x160;
+        with a first bucket of 1 ms their p50 read as an interpolation
+        inside [0, 1 ms]."""
+        h = MetricsRegistry().histogram("stage_s")
+        for _ in range(90):
+            h.observe(0.0002)
+        for _ in range(10):
+            h.observe(0.002)
+        d = h.to_dict()
+        assert d["buckets"]["le_0.0003"] == 90
+        assert 0.0001 <= d["p50_s"] <= 0.0003
+
+    def test_bucket_bounds_are_inclusive(self):
+        h = MetricsRegistry().histogram("lat")
+        for v in (0.0, 1e-5, 3e-4, 30.0, 31.0):
+            h.observe(v)
+        b = h.to_dict()["buckets"]
+        assert b["le_1e-05"] == 2
+        assert b["le_0.0003"] == 1
+        assert b["le_30"] == 1
+        assert b["le_inf"] == 1
+
     def test_histogram_empty(self):
         d = MetricsRegistry().histogram("lat").to_dict()
         assert d["count"] == 0
